@@ -8,8 +8,9 @@
 //! in-flight work before returning). Requests enter through a typed
 //! [`SubmitRequest`] naming a model and a [`Priority`] class, a
 //! per-model dynamic batcher coalesces them along axis 0 (close on
-//! `max_batch` reached or `max_linger` elapsed, with an optional
-//! arrival-rate-adaptive linger), and each model's worker pool executes
+//! `max_batch` reached or when the linger window chosen from the pool's
+//! arrival rate has elapsed — at most `max_linger`, zero when no
+//! companion is expected inside it), and each model's worker pool executes
 //! batches through the one-door [`Runner`](vedliot_nnir::exec::Runner)
 //! API — one warm arena-backed runner per batch size per worker.
 //!

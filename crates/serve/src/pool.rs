@@ -26,10 +26,11 @@
 //! `ceil(shed_to · quota)`, and `Batch` admission closes entirely.
 //!
 //! **Batching** drains classes in priority order (`High` first) and
-//! never mixes models — a batch is formed inside exactly one pool. The
-//! linger window is the configured `max_linger`, or, with
-//! [`ModelConfig::adaptive_linger`], the arrival-rate tracker's
-//! suggestion (zero while degraded).
+//! never mixes models — a batch is formed inside exactly one pool. A
+//! batch closes when it is full or when the linger window the pool's
+//! arrival-rate tracker chose has elapsed: up to `max_linger` while
+//! companions are expected inside it, zero when the expected
+//! inter-arrival gap exceeds `max_linger` or the pool is degraded.
 
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -244,7 +245,7 @@ pub(crate) struct ModelPool {
     pub(crate) weight: u32,
     /// Hard quota override; `None` derives it from the weight.
     quota: Option<usize>,
-    adaptive_linger: bool,
+    /// Admission-gap tracker choosing the linger window.
     arrivals: ArrivalRate,
     state: Mutex<QueueState>,
     /// Signals workers: new request, or shutdown.
@@ -272,6 +273,34 @@ pub(crate) struct ModelPool {
     /// replacement's handle *before* its own thread exits, so the drain
     /// cannot miss a respawn.
     handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+#[cfg(test)]
+impl ModelPool {
+    /// Test gate: parks this pool's worker on `plug`, so admission
+    /// tests see a stable queue even while the batcher would dispatch
+    /// at once (a degraded pool never lingers).
+    ///
+    /// Locks the golden service, which a worker takes after executing a
+    /// batch and before replying, then waits until a worker has taken
+    /// `plug` out of the queue. Until the returned guard drops, that
+    /// worker cannot return to the queue. Requires a golden policy and
+    /// a single worker.
+    pub(crate) fn park_worker(&self, plug: Tensor) -> (Ticket, MutexGuard<'_, RobustnessService>) {
+        let gate = self
+            .golden
+            .as_ref()
+            .expect("park_worker needs a golden policy")
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let ticket = self
+            .submit(vec![plug], Priority::High, None)
+            .expect("plug admitted");
+        while self.lock_state().depth() > 0 {
+            std::thread::yield_now();
+        }
+        (ticket, gate)
+    }
 }
 
 /// Microseconds from `epoch` to `t`, saturating at zero.
@@ -361,7 +390,6 @@ impl ModelPool {
             id,
             weight: cfg.weight,
             quota: cfg.quota,
-            adaptive_linger: cfg.adaptive_linger,
             arrivals: ArrivalRate::new(cfg.batch.max_linger),
             state: Mutex::new(QueueState {
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -561,10 +589,8 @@ impl ModelPool {
             });
             self.metrics.queue_pushed();
             self.gateway.total_queued.fetch_add(1, Ordering::Relaxed);
-            if self.adaptive_linger {
-                self.arrivals
-                    .observe(us_since(self.gateway.epoch, enqueued_at));
-            }
+            self.arrivals
+                .observe(us_since(self.gateway.epoch, enqueued_at));
         }
         self.work_ready.notify_one();
         Ok(Ticket { rx })
@@ -795,13 +821,8 @@ fn worker_loop(ctx: &WorkerContext) {
                 }
                 let depth = state.depth();
                 if let Some(oldest_at) = state.oldest_enqueued_at() {
-                    let linger = if pool.adaptive_linger {
-                        let quota = pool.effective_quota();
-                        pool.arrivals
-                            .suggested_linger(&pool.policy, pool.degraded(depth, quota))
-                    } else {
-                        pool.policy.max_linger
-                    };
+                    let degraded = pool.degraded(depth, pool.effective_quota());
+                    let linger = pool.arrivals.suggested_linger(&pool.policy, degraded);
                     let full = depth >= pool.policy.max_batch;
                     let linger_until = oldest_at + linger;
                     if full || state.shutting_down || now >= linger_until {
@@ -813,13 +834,14 @@ fn worker_loop(ctx: &WorkerContext) {
                         if pool.gateway.trace.is_some() {
                             // Stamp the dequeue and attribute the part
                             // of the wait the batcher *chose* (up to
-                            // max_linger) to the linger stage.
+                            // this round's linger) to the linger stage;
+                            // the rest is queue-wait.
                             let dequeue_us = us_since(pool.gateway.epoch, now);
                             for req in &mut batch {
                                 req.span.dequeue_us = dequeue_us;
                                 req.span.linger_us =
                                     now.saturating_duration_since(req.enqueued_at)
-                                        .min(pool.policy.max_linger)
+                                        .min(linger)
                                         .as_micros() as u64;
                                 req.span.batch = take as u32;
                             }
@@ -1118,6 +1140,7 @@ fn fail_batch(batch: Vec<Request>, pool: &ModelPool, error: &ServeError) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::GoldenPolicy;
     use std::time::Duration;
     use vedliot_nnir::zoo;
 
@@ -1151,8 +1174,9 @@ mod tests {
         Tensor::random(Shape::nchw(1, 1, 8, 8), seed, 1.0)
     }
 
-    /// A batch policy that holds requests in the queue practically
-    /// forever, so admission tests observe a stable queue.
+    /// A batch policy that holds requests in a healthy pool's queue
+    /// practically forever, so admission tests observe a stable queue.
+    /// (A degraded pool never lingers; see [`ModelPool::park_worker`].)
     fn holding(max_batch: usize) -> BatchPolicy {
         BatchPolicy {
             max_batch,
@@ -1225,7 +1249,9 @@ mod tests {
     #[test]
     fn degraded_pool_closes_batch_admission_and_sheds_normal() {
         let gw = gateway(64, 1);
-        let cfg = ModelConfig::default().quota(4).batch(holding(8));
+        let cfg = ModelConfig::default()
+            .quota(4)
+            .golden(GoldenPolicy::default());
         let pool = pool_on(&gw, &cfg);
         // Trip crash-threshold degradation directly (default threshold
         // is 16 crashes).
@@ -1233,6 +1259,9 @@ mod tests {
             pool.metrics.inc_worker_crash();
         }
         assert_eq!(pool.health(), Health::Degraded);
+        // A degraded pool dispatches without lingering, so the queue
+        // only holds while the worker is busy.
+        let (plug, gate) = pool.park_worker(input(0));
         // Batch admission is closed outright.
         assert_eq!(
             pool.submit(vec![input(1)], Priority::Batch, None)
@@ -1250,15 +1279,16 @@ mod tests {
         // High keeps the full quota: two more slots.
         let h1 = pool.submit(vec![input(5)], Priority::High, None).unwrap();
         let h2 = pool.submit(vec![input(6)], Priority::High, None).unwrap();
+        drop(gate);
         pool.begin_shutdown();
-        for t in [n1, n2, h1, h2] {
+        for t in [plug, n1, n2, h1, h2] {
             assert!(t.wait().is_ok());
         }
         pool.join_workers();
         let m = pool.snapshot();
         assert!(m.accounted_for());
         assert_eq!(m.shed_by_priority, [0, 1, 1]);
-        assert_eq!(m.served_by_priority, [2, 2, 0]);
+        assert_eq!(m.served_by_priority, [3, 2, 0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-tenant routing types: priority classes, the typed submit
 //! request, per-model pool configuration, and the arrival-rate tracker
-//! behind adaptive linger.
+//! that chooses every pool's linger window.
 //!
 //! The serving gateway hosts a *zoo* of models (the four VEDLIoT use
 //! cases run LeNet-scale detectors up to ResNet-class networks on one
@@ -90,9 +90,7 @@ impl fmt::Display for Priority {
 }
 
 /// A typed, buildable submission: the inputs plus where and how they
-/// should run. Replaces the positional `submit(inputs, deadline)`
-/// signature, which survives only as a `#[deprecated]` shim routing to
-/// the default model at [`Priority::Normal`].
+/// should run.
 #[derive(Debug, Clone)]
 pub struct SubmitRequest {
     pub(crate) inputs: Vec<Tensor>,
@@ -162,13 +160,6 @@ pub struct ModelConfig {
     /// Chaos-injection test hook scoped to this pool; `None` (the
     /// default) injects nothing.
     pub chaos: Option<FaultPlan>,
-    /// Adaptive linger: track the pool's request arrival rate and close
-    /// batches after roughly the time `max_batch - 1` companions need
-    /// to arrive (never beyond `max_linger`), dropping to zero linger
-    /// while the pool is degraded. Off by default: the fixed
-    /// `max_linger` window is deterministic, which tests and
-    /// latency-sensitive tenants may prefer.
-    pub adaptive_linger: bool,
 }
 
 impl Default for ModelConfig {
@@ -180,7 +171,6 @@ impl Default for ModelConfig {
             batch: BatchPolicy::default(),
             golden: None,
             chaos: None,
-            adaptive_linger: false,
         }
     }
 }
@@ -227,44 +217,45 @@ impl ModelConfig {
         self.chaos = Some(chaos);
         self
     }
-
-    /// Enables adaptive linger.
-    #[must_use]
-    pub fn adaptive_linger(mut self, on: bool) -> Self {
-        self.adaptive_linger = on;
-        self
-    }
 }
 
 /// Sentinel for "no arrival observed yet".
 const NO_ARRIVAL: u64 = u64::MAX;
 
-/// Lock-free per-pool arrival-rate tracker driving adaptive linger.
+/// Lock-free per-pool arrival-rate tracker: the one linger rule every
+/// pool's batcher follows.
 ///
 /// Keeps an integer EWMA of the gap between consecutive admissions
-/// (`ewma ← ewma − ewma/8 + gap/8`, i.e. α = 1/8). The suggested
-/// linger is the time `max_batch − 1` companions are expected to need
-/// (`ewma · (max_batch − 1)`), capped at the configured `max_linger` —
-/// a fast stream closes batches early instead of burning the full
-/// window, a slow stream keeps the deterministic cap. While the pool
-/// is degraded the suggestion is zero: lingering for companions is a
-/// luxury a distressed pool cannot afford.
+/// (`ewma ← ewma − ewma/8 + gap/8`, i.e. α = 1/8), each gap sample
+/// clamped at `2·max_linger` so one idle spell costs at most about six
+/// fast arrivals of recovery. The suggested linger is:
+///
+/// - **zero** while the pool is degraded (lingering is a luxury a
+///   distressed pool cannot afford), for unbatched pools
+///   (`max_batch ≤ 1`), and when the expected gap exceeds
+///   `max_linger` — no companion is expected inside the window, so
+///   waiting for one only adds latency;
+/// - otherwise the time `max_batch − 1` companions are expected to
+///   need, `ewma · (max_batch − 1)`, capped at `max_linger`.
 #[derive(Debug)]
 pub(crate) struct ArrivalRate {
     /// Microseconds (pool epoch) of the last admission; `NO_ARRIVAL`
     /// before the first.
     last_arrival_us: AtomicU64,
     ewma_gap_us: AtomicU64,
+    /// Largest gap sample the EWMA accepts (`2·max_linger`).
+    max_gap_us: u64,
 }
 
 impl ArrivalRate {
-    /// Starts with the EWMA pinned to `initial_gap` (the `max_linger`
-    /// window), so an idle pool behaves exactly like fixed linger until
-    /// real traffic teaches it otherwise.
-    pub(crate) fn new(initial_gap: Duration) -> Self {
+    /// Starts with the EWMA pinned to `max_linger`, so a fresh pool's
+    /// first burst lingers the full window and batches.
+    pub(crate) fn new(max_linger: Duration) -> Self {
+        let window_us = max_linger.as_micros() as u64;
         ArrivalRate {
             last_arrival_us: AtomicU64::new(NO_ARRIVAL),
-            ewma_gap_us: AtomicU64::new(initial_gap.as_micros() as u64),
+            ewma_gap_us: AtomicU64::new(window_us),
+            max_gap_us: window_us.saturating_mul(2),
         }
     }
 
@@ -277,7 +268,7 @@ impl ArrivalRate {
         if prev == NO_ARRIVAL || now_us < prev {
             return;
         }
-        let gap = now_us - prev;
+        let gap = (now_us - prev).min(self.max_gap_us);
         let ewma = self.ewma_gap_us.load(Ordering::Relaxed);
         self.ewma_gap_us
             .store(ewma - ewma / 8 + gap / 8, Ordering::Relaxed);
@@ -285,15 +276,12 @@ impl ArrivalRate {
 
     /// The linger window to use right now.
     pub(crate) fn suggested_linger(&self, policy: &BatchPolicy, degraded: bool) -> Duration {
-        if degraded || policy.max_batch <= 1 {
+        let gap_us = self.ewma_gap_us.load(Ordering::Relaxed);
+        if degraded || policy.max_batch <= 1 || gap_us > policy.max_linger.as_micros() as u64 {
             return Duration::ZERO;
         }
         let companions = (policy.max_batch - 1) as u64;
-        let expected_us = self
-            .ewma_gap_us
-            .load(Ordering::Relaxed)
-            .saturating_mul(companions);
-        Duration::from_micros(expected_us).min(policy.max_linger)
+        Duration::from_micros(gap_us.saturating_mul(companions)).min(policy.max_linger)
     }
 }
 
@@ -338,10 +326,8 @@ mod tests {
     fn model_config_default_is_one_worker_weight_one() {
         let cfg = ModelConfig::default();
         assert_eq!((cfg.workers, cfg.weight, cfg.quota), (1, 1, None));
-        assert!(!cfg.adaptive_linger);
-        let cfg = cfg.workers(3).weight(5).quota(7).adaptive_linger(true);
+        let cfg = cfg.workers(3).weight(5).quota(7);
         assert_eq!((cfg.workers, cfg.weight, cfg.quota), (3, 5, Some(7)));
-        assert!(cfg.adaptive_linger);
     }
 
     #[test]
@@ -351,7 +337,8 @@ mod tests {
             max_linger: Duration::from_micros(10_000),
         };
         let rate = ArrivalRate::new(policy.max_linger);
-        // Before any traffic the suggestion is the full (capped) window.
+        // Before any traffic the suggestion is the full (capped) window,
+        // so an idle pool's first burst batches.
         assert_eq!(rate.suggested_linger(&policy, false), policy.max_linger);
         // A 10 µs arrival gap, observed repeatedly, converges the EWMA
         // far below the 10 ms initial pin.
@@ -370,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn slow_arrivals_keep_the_max_linger_cap() {
+    fn slow_arrivals_do_not_linger() {
         let policy = BatchPolicy {
             max_batch: 4,
             max_linger: Duration::from_micros(300),
@@ -378,6 +365,47 @@ mod tests {
         let rate = ArrivalRate::new(policy.max_linger);
         for i in 1..=50u64 {
             rate.observe(i * 1_000_000); // one request a second
+        }
+        assert_eq!(rate.suggested_linger(&policy, false), Duration::ZERO);
+    }
+
+    #[test]
+    fn steady_gaps_beyond_the_window_do_not_linger() {
+        // The Smart-Mirror keyword stream: one request a millisecond
+        // under the default 500 µs window. No companion can arrive in
+        // time, so the batcher dispatches at once.
+        let policy = BatchPolicy::default();
+        assert_eq!(policy.max_linger, Duration::from_micros(500));
+        let rate = ArrivalRate::new(policy.max_linger);
+        for i in 1..=50u64 {
+            rate.observe(i * 1_000);
+        }
+        assert_eq!(rate.suggested_linger(&policy, false), Duration::ZERO);
+    }
+
+    #[test]
+    fn an_idle_spell_costs_at_most_six_fast_arrivals() {
+        let policy = BatchPolicy::default();
+        let rate = ArrivalRate::new(policy.max_linger);
+        // Slow traffic saturates the EWMA at the 2·max_linger clamp…
+        let mut now = 0u64;
+        for _ in 0..100 {
+            now += 1_000_000;
+            rate.observe(now);
+        }
+        // …and a 10 s idle spell cannot push it any further.
+        now += 10_000_000;
+        rate.observe(now);
+        assert_eq!(rate.suggested_linger(&policy, false), Duration::ZERO);
+        let mut burst = 0;
+        while rate.suggested_linger(&policy, false).is_zero() {
+            now += 1;
+            rate.observe(now);
+            burst += 1;
+            assert!(
+                burst <= 6,
+                "still not lingering after {burst} back-to-back arrivals"
+            );
         }
         assert_eq!(rate.suggested_linger(&policy, false), policy.max_linger);
     }

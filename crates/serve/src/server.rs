@@ -10,9 +10,8 @@
 //! ring.
 //!
 //! Clients submit through [`Server::submit_request`] with a typed
-//! [`SubmitRequest`] naming the model and [`Priority`] class. The old
-//! positional `submit(inputs, deadline)` survives as a `#[deprecated]`
-//! shim that routes to the default model at [`Priority::Normal`].
+//! [`SubmitRequest`] naming the model and [`Priority`] class; it is
+//! the only submission door.
 //!
 //! The per-pool serving pipeline — dynamic batching under the
 //! bit-identical batching contract, four-layer fault tolerance (panic
@@ -44,8 +43,12 @@ pub const DEFAULT_MODEL: &str = "default";
 pub struct BatchPolicy {
     /// Largest number of requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// Longest the oldest queued request may wait for companions before
-    /// its (possibly partial) batch executes.
+    /// Upper bound on how long the oldest queued request may wait for
+    /// companions before its (possibly partial) batch executes. Each
+    /// round the batcher chooses the actual window from the pool's
+    /// arrival rate: the time `max_batch − 1` companions are expected
+    /// to need, capped here, and zero when the expected gap between
+    /// arrivals exceeds this bound or the pool is degraded.
     pub max_linger: Duration,
 }
 
@@ -743,28 +746,6 @@ impl Server {
         pool.submit(request.inputs, request.priority, request.deadline)
     }
 
-    /// Submits one single-sample request to the default model at
-    /// [`Priority::Normal`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit_request`].
-    #[deprecated(
-        note = "use submit_request(SubmitRequest::new(inputs).deadline(..)) — \
-                the typed builder also selects the model and priority class"
-    )]
-    pub fn submit(
-        &self,
-        inputs: Vec<Tensor>,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ServeError> {
-        let mut request = SubmitRequest::new(inputs);
-        if let Some(d) = deadline {
-            request = request.deadline(d);
-        }
-        self.submit_request(request)
-    }
-
     /// Gateway-wide serving statistics: every live pool's counters plus
     /// the retained final snapshots of unloaded models, merged. The
     /// accounting partition (`accounted_for`) holds for the aggregate
@@ -1134,21 +1115,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_routes_to_default_at_normal() {
-        let server = Server::start(&demo_graph(), ServeConfig::default()).unwrap();
-        let out = server
-            .submit(vec![demo_input(5)], None)
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(out[0].shape(), &Shape::nf(1, 3));
-        let m = server.shutdown();
-        assert_eq!(m.submitted_by_priority, [0, 1, 0]);
-        assert!(m.accounted_for());
-    }
-
-    #[test]
     fn submit_after_shutdown_is_refused() {
         let server = Server::start(&demo_graph(), ServeConfig::default()).unwrap();
         server.begin_shutdown();
@@ -1259,10 +1225,7 @@ mod tests {
             &demo_graph(),
             ServeConfig {
                 queue_capacity: 4,
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_linger: Duration::from_secs(30),
-                },
+                golden: Some(GoldenPolicy::default()),
                 resilience: ResilienceConfig {
                     degraded_crash_threshold: 1,
                     shed_to: 0.5,
@@ -1273,11 +1236,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(server.health(), Health::Serving);
-        server
-            .with_pool(DEFAULT_MODEL, |pool| pool.metrics.inc_worker_crash())
-            .unwrap();
+        let pool = Arc::clone(&server.live_pools()[0]);
+        pool.metrics.inc_worker_crash();
         assert_eq!(server.health(), Health::Degraded);
         assert_eq!(server.model_health(DEFAULT_MODEL), Ok(Health::Degraded));
+        // A degraded pool dispatches at once; park its worker so the
+        // queue holds.
+        let (plug, gate) = pool.park_worker(demo_input(0));
         let t1 = server
             .submit_request(SubmitRequest::new(vec![demo_input(1)]))
             .unwrap();
@@ -1290,10 +1255,13 @@ mod tests {
             .submit_request(SubmitRequest::new(vec![demo_input(3)]))
             .unwrap_err();
         assert_eq!(err, ServeError::ShedLowPriority);
+        drop(gate);
+        drop(pool);
         let m = {
             let handle = std::thread::spawn(move || server.shutdown());
-            assert!(t1.wait().is_ok());
-            assert!(t2.wait().is_ok());
+            for t in [plug, t1, t2] {
+                assert!(t.wait().is_ok());
+            }
             handle.join().unwrap()
         };
         assert!(m.accounted_for());

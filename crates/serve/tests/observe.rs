@@ -83,6 +83,39 @@ fn traced_run_produces_coherent_spans() {
     assert!(m.queue_hwm >= 1, "high-water mark saw the burst");
 }
 
+/// A stream slower than the linger window never lingers: once the
+/// arrival tracker has seen one gap, every batch is dispatched at once,
+/// so no span may charge its (wake-up) queue wait to the linger stage.
+/// The stages still sum to the end-to-end latency exactly.
+#[test]
+fn slow_stream_spans_record_no_linger() {
+    let config = traced_config();
+    let window = config.batch.max_linger;
+    let server = Server::start(&demo_graph(), config).unwrap();
+    for i in 0..20 {
+        server
+            .submit_request(SubmitRequest::new(vec![demo_input(i)]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        std::thread::sleep(10 * window);
+    }
+    let spans = server.trace_spans();
+    assert_eq!(spans.len(), 20);
+    for span in &spans {
+        assert!(span.is_monotonic(), "{span}");
+        assert_eq!(span.stage_sum_us(), span.end_to_end_us(), "{span}");
+        if span.seq == 1 {
+            // A fresh tracker lingers at most the full window.
+            assert!(span.linger_us <= window.as_micros() as u64, "{span}");
+        } else {
+            assert_eq!(span.linger_us, 0, "{span}");
+        }
+    }
+    let m = server.shutdown();
+    assert!(m.accounted_for());
+}
+
 #[test]
 fn expired_requests_get_timed_out_spans() {
     let server = Server::start(&demo_graph(), traced_config()).unwrap();

@@ -19,9 +19,12 @@ fn demo_input(seed: u64) -> Tensor {
     Tensor::random(Shape::nchw(1, 1, 8, 8), seed, 1.0)
 }
 
-/// A policy that holds requests in the queue: the batch never fills and
-/// the linger window is far longer than any test body, so the queue
-/// state is fully deterministic until shutdown forces the drain.
+/// A policy that holds requests in the queue: the batch never fills and,
+/// for the handful of back-to-back requests a test submits, the linger
+/// the pool chooses stays at the 30 s window — far longer than any test
+/// body — so the queue state is fully deterministic until shutdown
+/// forces the drain (as long as the pool stays healthy: a degraded pool
+/// never lingers).
 fn holding_policy() -> BatchPolicy {
     BatchPolicy {
         max_batch: 64,
