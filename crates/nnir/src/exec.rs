@@ -18,16 +18,17 @@
 //! Heavy kernels (`conv2d`, `dense`, `pool2d`, `batchnorm`) are data
 //! parallel: the output buffer is split into disjoint contiguous tiles
 //! and distributed over scoped threads according to a [`Parallelism`]
-//! policy. Grouped and depthwise convolutions use a direct loop nest;
-//! dense (`groups == 1`) convolutions lower to a *pixel-blocked* im2col
-//! plus register-tiled GEMM: patch rows for a cache-sized block of output
-//! pixels are gathered (padded positions contribute an exact `0.0`) and
-//! multiplied through the 4-lane [`dot4`] microkernel. Every output
-//! scalar is a pure function of its operands — the lane split and
-//! combine order are fixed — so serial and threaded runs, any pixel
-//! blocking and any batch size produce bit-identical results.
-//! [`Parallelism::Serial`] keeps the single-threaded path available for
-//! equivalence testing.
+//! policy (default [`Parallelism::Serial`]). Grouped and depthwise
+//! convolutions use a direct loop nest; dense (`groups == 1`)
+//! convolutions lower to a *pixel-blocked* im2col plus register-tiled
+//! GEMM: patch rows for a cache-sized block of output pixels are
+//! gathered one kernel-row run at a time (padded positions contribute
+//! an exact `0.0`), then multiplied `MR` out-channels × `NR` pixels at
+//! a time by [`dot4_tile`], which computes each output exactly as the
+//! 4-lane [`dot4`] microkernel does. Every output scalar is a pure
+//! function of its operands — the lane split and combine order are
+//! fixed — so serial and threaded runs, any pixel blocking, any tile
+//! position and any batch size produce bit-identical results.
 //!
 //! Nodes whose conv/dense weights carry an i8 [`QuantPayload`]
 //! ([`Tensor::quant`]) and whose activations are pinned to the INT8
@@ -51,7 +52,7 @@
 
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, WeightInit};
-use crate::ops::{Conv2dAttrs, Op, Pool2dAttrs};
+use crate::ops::{ActKind, Conv2dAttrs, Op, Pool2dAttrs};
 use crate::profile::{NodeProfile, RunProfile};
 use crate::shape::Shape;
 use crate::tensor::{QuantPayload, Tensor};
@@ -66,14 +67,18 @@ use crate::NnirError;
 const PAR_MIN_WORK: usize = 1 << 15;
 
 /// How the execution engine distributes kernel work over threads.
+///
+/// The default is [`Parallelism::Serial`]: with scoped threads spawned
+/// per kernel call, `Auto` measured slower than serial on every zoo
+/// model tried (see DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded reference path (equivalence baseline).
+    /// Single-threaded path (default).
+    #[default]
     Serial,
     /// Exactly this many worker threads for large kernels.
     Threads(usize),
-    /// One worker per available hardware thread (default).
-    #[default]
+    /// One worker per available hardware thread.
     Auto,
 }
 
@@ -155,8 +160,9 @@ where
 /// cache as the batch grew, and made per-sample cost *rise* with batch.
 const COL_BLOCK_ELEMS: usize = 16 * 1024;
 
-/// 4-lane f32 dot product — the register tile of every GEMM-shaped
-/// kernel here.
+/// 4-lane f32 dot product — the reduction every GEMM-shaped kernel
+/// here computes, and the reference [`dot4_tile`] must match bit for
+/// bit.
 ///
 /// The reduction is a pure function of the operand slices: lane `i`
 /// accumulates elements `i, i+4, i+8, …`, the tail lands on lanes
@@ -182,6 +188,127 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
         lanes[i] += av * bv;
     }
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// Kernel rows per GEMM register tile.
+const MR: usize = 4;
+/// Patch rows per GEMM register tile.
+const NR: usize = 2;
+
+/// `MR × NR` [`dot4`]s in one pass: entry `[r][c]` is
+/// `dot4(a_r, b_c)` for the `k_len`-long rows `a_r` of `a` and `b_c` of
+/// `b`, bit for bit. Every output keeps its own four lane accumulators
+/// and `dot4`'s association (lane `j` sums `k ≡ j (mod 4)` in index
+/// order, the tail lands on lanes `0..k_len % 4`, lanes combine as
+/// `(l0+l1) + (l2+l3)`), while each loaded quad of `a` is reused `NR`
+/// times and each quad of `b` `MR` times — three loads per four
+/// multiply-adds instead of two per one. The rows are written out for
+/// `MR = 4`, `NR = 2`.
+#[inline]
+fn dot4_tile(a: &[f32], b: &[f32], k_len: usize) -> [[f32; NR]; MR] {
+    fn row(m: &[f32], i: usize, k_len: usize) -> (&[[f32; 4]], &[f32]) {
+        m[i * k_len..][..k_len].as_chunks::<4>()
+    }
+    let ((a0, a0t), (a1, a1t)) = (row(a, 0, k_len), row(a, 1, k_len));
+    let ((a2, a2t), (a3, a3t)) = (row(a, 2, k_len), row(a, 3, k_len));
+    let ((b0, b0t), (b1, b1t)) = (row(b, 0, k_len), row(b, 1, k_len));
+    // Accumulator `r * NR + c` holds output (r, c)'s four lanes.
+    let mut lanes = [[0.0f32; 4]; MR * NR];
+    let quads = a0
+        .iter()
+        .zip(a1)
+        .zip(a2.iter().zip(a3))
+        .zip(b0.iter().zip(b1));
+    for (((&x0, &x1), (&x2, &x3)), (&y0, &y1)) in quads {
+        lanes[0] = mac4(lanes[0], x0, y0);
+        lanes[1] = mac4(lanes[1], x0, y1);
+        lanes[2] = mac4(lanes[2], x1, y0);
+        lanes[3] = mac4(lanes[3], x1, y1);
+        lanes[4] = mac4(lanes[4], x2, y0);
+        lanes[5] = mac4(lanes[5], x2, y1);
+        lanes[6] = mac4(lanes[6], x3, y0);
+        lanes[7] = mac4(lanes[7], x3, y1);
+    }
+    finish_tile(&mut lanes, [a0t, a1t, a2t, a3t], [b0t, b1t])
+}
+
+/// `acc + a * b` lane by lane, each lane one rounded multiply and one
+/// rounded add — [`dot4`]'s step on one quad.
+#[inline(always)]
+fn mac4(acc: [f32; 4], a: [f32; 4], b: [f32; 4]) -> [f32; 4] {
+    [
+        acc[0] + a[0] * b[0],
+        acc[1] + a[1] * b[1],
+        acc[2] + a[2] * b[2],
+        acc[3] + a[3] * b[3],
+    ]
+}
+
+/// Adds the `k_len % 4` tail products to lanes `0..` and combines each
+/// output's lanes as `(l0+l1) + (l2+l3)`, as [`dot4`] does.
+///
+/// Kept out of line on purpose: inlined, LLVM's SLP vectorizer groups
+/// the accumulators by this lane-wise tail and combine, and carries that
+/// transposed layout into [`dot4_tile`]'s main loop as per-iteration
+/// shuffles and spills (about 4× slower, measured). Out of line, the
+/// loop keeps each output's four lanes in one vector register.
+#[inline(never)]
+fn finish_tile(
+    lanes: &mut [[f32; 4]; MR * NR],
+    a_tail: [&[f32]; MR],
+    b_tail: [&[f32]; NR],
+) -> [[f32; NR]; MR] {
+    for j in 0..b_tail[0].len() {
+        for (r, at) in a_tail.iter().enumerate() {
+            for (c, bt) in b_tail.iter().enumerate() {
+                lanes[r * NR + c][j] += at[j] * bt[j];
+            }
+        }
+    }
+    std::array::from_fn(|r| {
+        std::array::from_fn(|c| {
+            let l = lanes[r * NR + c];
+            (l[0] + l[1]) + (l[2] + l[3])
+        })
+    })
+}
+
+/// One `MR`-row block of the conv GEMM over a pixel block:
+/// `dst[r * pb + p] = bias[oc0 + r] + dot4(kernel row oc0 + r, patch p)`
+/// for the `dst.len() / pb ≤ MR` rows starting at `oc0`, where `pb` is
+/// the number of `k_len`-long patches in `col`. Full `MR × NR` tiles go
+/// through [`dot4_tile`]; a short row block and the last `pb % NR`
+/// pixels go through [`dot4`] — the same bits either way.
+fn gemm_row_block(
+    kernel: &[f32],
+    bias: Option<&[f32]>,
+    col: &[f32],
+    k_len: usize,
+    oc0: usize,
+    dst: &mut [f32],
+) {
+    let pb = col.len() / k_len;
+    let rows = dst.len() / pb;
+    let krows = &kernel[oc0 * k_len..][..rows * k_len];
+    let b0: [f32; MR] = std::array::from_fn(|r| match bias {
+        Some(b) if r < rows => b[oc0 + r],
+        _ => 0.0,
+    });
+    let tiled = if rows == MR { pb - pb % NR } else { 0 };
+    for p in (0..tiled).step_by(NR) {
+        let t = dot4_tile(krows, &col[p * k_len..][..NR * k_len], k_len);
+        for (r, tr) in t.iter().enumerate() {
+            for (c, &v) in tr.iter().enumerate() {
+                dst[r * pb + p + c] = b0[r] + v;
+            }
+        }
+    }
+    for (r, out_row) in dst.chunks_exact_mut(pb).enumerate() {
+        let krow = &krows[r * k_len..][..k_len];
+        for (p, o) in out_row.iter_mut().enumerate().skip(tiled) {
+            *o = b0[r] + dot4(krow, &col[p * k_len..][..k_len]);
+        }
+    }
 }
 
 /// i32-accumulating INT8 dot product — the arithmetic the CFU/socsim
@@ -381,7 +508,7 @@ impl Default for RunnerBuilder {
 }
 
 impl RunnerBuilder {
-    /// Sets the kernel parallelism policy (default: [`Parallelism::Auto`]).
+    /// Sets the kernel parallelism policy (default: [`Parallelism::Serial`]).
     #[must_use]
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -960,7 +1087,7 @@ fn eval_node_into(
             batchnorm_into(ins[0], &weights[0], &weights[1], out, par)
         }
         Op::Activation(kind) => {
-            map_unary_into(ins[0], out, |x| kind.apply(x));
+            activation_into(ins[0], *kind, out);
             Ok(())
         }
         Op::MaxPool2d(attrs) => pool2d_into(ins[0], attrs, PoolMode::Max, out, par),
@@ -1032,6 +1159,26 @@ pub(crate) fn materialize_seeded(op: &Op, shapes: &[Shape], seed: u64) -> Vec<Te
 fn map_unary_into(input: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
     for (o, &x) in out.data_mut().iter_mut().zip(input.data().iter()) {
         *o = f(x);
+    }
+}
+
+/// Applies `kind` elementwise, matching on it once per node rather than
+/// once per element. Each arm loops over [`ActKind::apply`] of a
+/// constant variant, which folds to that variant's own scalar
+/// arithmetic, so the result is bit-identical to `kind.apply(x)`.
+fn activation_into(input: &Tensor, kind: ActKind, out: &mut Tensor) {
+    match kind {
+        ActKind::Relu => map_unary_into(input, out, |x| ActKind::Relu.apply(x)),
+        ActKind::Relu6 => map_unary_into(input, out, |x| ActKind::Relu6.apply(x)),
+        ActKind::LeakyRelu(slope) => {
+            map_unary_into(input, out, |x| ActKind::LeakyRelu(slope).apply(x));
+        }
+        ActKind::HardSwish => map_unary_into(input, out, |x| ActKind::HardSwish.apply(x)),
+        ActKind::HardSigmoid => map_unary_into(input, out, |x| ActKind::HardSigmoid.apply(x)),
+        ActKind::Sigmoid => map_unary_into(input, out, |x| ActKind::Sigmoid.apply(x)),
+        ActKind::Mish => map_unary_into(input, out, |x| ActKind::Mish.apply(x)),
+        ActKind::Silu => map_unary_into(input, out, |x| ActKind::Silu.apply(x)),
+        ActKind::Tanh => map_unary_into(input, out, |x| ActKind::Tanh.apply(x)),
     }
 }
 
@@ -1160,39 +1307,99 @@ impl ConvGeom {
     }
 }
 
-/// Gathers the K-length im2col patch row for output pixel `p` of batch
-/// item `bi` into `dst`, reading from `src` laid out NCHW. Positions
-/// outside the input contribute `pad` (an exact zero on both numeric
-/// paths), K in the kernel's own ascending (ic, ky, kx) order.
-#[inline]
-fn fill_patch<T: Copy>(src: &[T], g: ConvGeom, bi: usize, p: usize, dst: &mut [T], pad: T) {
-    let oy = p / g.ow;
-    let ox = p % g.ow;
-    let mut i = 0usize;
+/// Gathers the K-length im2col patch rows of output pixels
+/// `p0..p0 + dst.len() / k_len` of batch item `bi` into `dst`, reading
+/// from `src` laid out NCHW, K in the kernel's own ascending
+/// (ic, ky, kx) order. Positions outside the input contribute `pad`
+/// (an exact zero on both numeric paths).
+///
+/// The block is filled with `(ic, ky)` as the outer loops and pixels
+/// inner, so each step copies one `kw`-wide kernel-row run; the common
+/// kernel widths get a fixed-size copy.
+fn fill_block<T: Copy>(src: &[T], g: ConvGeom, bi: usize, p0: usize, dst: &mut [T], pad: T) {
+    match g.kw {
+        1 => fill_block_runs::<T, 1>(src, g, bi, p0, dst, pad),
+        3 => fill_block_runs::<T, 3>(src, g, bi, p0, dst, pad),
+        5 => fill_block_runs::<T, 5>(src, g, bi, p0, dst, pad),
+        7 => fill_block_runs::<T, 7>(src, g, bi, p0, dst, pad),
+        _ => fill_block_runs::<T, 0>(src, g, bi, p0, dst, pad),
+    }
+}
+
+/// [`fill_block`] for kernel width `KW`, or the runtime `g.kw` when
+/// `KW == 0`. A run whose columns all lie inside the input row is one
+/// slice copy; a run touching the padding (possibly lying wholly in
+/// it) is gathered element by element.
+fn fill_block_runs<T: Copy, const KW: usize>(
+    src: &[T],
+    g: ConvGeom,
+    bi: usize,
+    p0: usize,
+    dst: &mut [T],
+    pad: T,
+) {
+    let kw = if KW == 0 { g.kw } else { KW };
+    let k_len = g.k_len();
     for ic in 0..g.in_c {
         let plane = &src[(bi * g.in_c + ic) * g.h * g.w..][..g.h * g.w];
         for ky in 0..g.kh {
-            let iy = (oy * g.sh + ky) as isize - g.ph as isize;
-            let row_ok = iy >= 0 && iy < g.h as isize;
-            for kx in 0..g.kw {
-                let ix = (ox * g.sw + kx) as isize - g.pw as isize;
-                dst[i] = if row_ok && ix >= 0 && ix < g.w as isize {
-                    plane[iy as usize * g.w + ix as usize]
+            let off = (ic * g.kh + ky) * kw;
+            let (mut oy, mut ox) = (p0 / g.ow, p0 % g.ow);
+            for patch in dst.chunks_exact_mut(k_len) {
+                let run = &mut patch[off..][..kw];
+                let iy = (oy * g.sh + ky) as isize - g.ph as isize;
+                if iy < 0 || iy >= g.h as isize {
+                    run.fill(pad);
                 } else {
-                    pad
-                };
-                i += 1;
+                    let row = &plane[iy as usize * g.w..][..g.w];
+                    let ix0 = (ox * g.sw) as isize - g.pw as isize;
+                    if ix0 >= 0 && ix0 as usize + kw <= g.w {
+                        run.copy_from_slice(&row[ix0 as usize..][..kw]);
+                    } else {
+                        for (kx, d) in run.iter_mut().enumerate() {
+                            let ix = ix0 + kx as isize;
+                            *d = if ix >= 0 && (ix as usize) < g.w {
+                                row[ix as usize]
+                            } else {
+                                pad
+                            };
+                        }
+                    }
+                }
+                ox += 1;
+                if ox == g.ow {
+                    ox = 0;
+                    oy += 1;
+                }
             }
         }
     }
 }
 
+/// [`fill_block`] of the block `colb` starting at pixel `p0`, split
+/// into at most `workers` contiguous pixel ranges.
+fn fill_block_par<T: Copy + Send + Sync>(
+    workers: usize,
+    src: &[T],
+    g: ConvGeom,
+    bi: usize,
+    p0: usize,
+    colb: &mut [T],
+    pad: T,
+) {
+    let k_len = g.k_len();
+    let unit_pix = (colb.len() / k_len).div_ceil(workers.max(1));
+    par_chunks(workers, colb, unit_pix * k_len, |u, dst| {
+        fill_block(src, g, bi, p0 + u * unit_pix, dst, pad);
+    });
+}
+
 /// Convolution with groups, stride and symmetric padding.
 ///
 /// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col +
-/// a [`dot4`]-tiled GEMM (or the INT8 variant when `int8_scale` and an
-/// i8 weight payload are present); grouped and depthwise ones use the
-/// direct loop nest. Each output scalar is a fixed-association
+/// a [`dot4_tile`] register-tiled GEMM (or the INT8 variant when
+/// `int8_scale` and an i8 weight payload are present); grouped and
+/// depthwise ones use the direct loop nest. Each output scalar is a fixed-association
 /// reduction over the patch, so results are independent of threading,
 /// blocking and batch size.
 fn conv2d_into(
@@ -1279,20 +1486,27 @@ fn conv2d_into(
             while p0 < opix {
                 let pb = block_pix.min(opix - p0);
                 let colb = &mut col[..pb * k_len];
-                par_chunks(par.workers_for(pb * k_len), colb, k_len, |j, dst| {
-                    fill_patch(in_data, geom, bi, p0 + j, dst, 0.0);
-                });
+                fill_block_par(
+                    par.workers_for(pb * k_len),
+                    in_data,
+                    geom,
+                    bi,
+                    p0,
+                    colb,
+                    0.0,
+                );
                 let colb: &[f32] = colb;
-                // GEMM tile: one out-channel row of `pb` pixels per unit,
-                // each pixel a dot4 over the cache-resident patch block.
+                // GEMM over the cache-resident patch block, one MR-row
+                // block of out-channels per unit.
                 let tile = &mut outb[..out_c * pb];
-                par_chunks(par.workers_for(out_c * pb * k_len), tile, pb, |oc, dst| {
-                    let b0 = bias_data.map_or(0.0, |b| b[oc]);
-                    let krow = &k_data[oc * k_len..][..k_len];
-                    for (p, o) in dst.iter_mut().enumerate() {
-                        *o = b0 + dot4(krow, &colb[p * k_len..][..k_len]);
-                    }
-                });
+                par_chunks(
+                    par.workers_for(out_c * pb * k_len),
+                    tile,
+                    MR * pb,
+                    |u, dst| {
+                        gemm_row_block(k_data, bias_data, colb, k_len, u * MR, dst);
+                    },
+                );
                 for oc in 0..out_c {
                     out_data[(bi * out_c + oc) * opix + p0..][..pb]
                         .copy_from_slice(&tile[oc * pb..][..pb]);
@@ -1393,9 +1607,7 @@ fn conv2d_int8(
         while p0 < opix {
             let pb = block_pix.min(opix - p0);
             let colb = &mut qcol[..pb * k_len];
-            par_chunks(par.workers_for(pb * k_len), colb, k_len, |j, dst| {
-                fill_patch(qin, geom, bi, p0 + j, dst, 0i8);
-            });
+            fill_block_par(par.workers_for(pb * k_len), qin, geom, bi, p0, colb, 0i8);
             let colb: &[i8] = colb;
             let tile = &mut outb[..geom.out_c * pb];
             par_chunks(
@@ -2328,6 +2540,109 @@ mod tests {
             }
             let reference = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
             assert_eq!(dot4(&a, &b).to_bits(), reference.to_bits(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn dot4_tile_equals_dot4_at_every_tile_position() {
+        // Every K % 4 class, out-channel counts off the MR grid and pixel
+        // counts off the NR grid, so each output is reached by a full
+        // tile, the pixel-edge dot4s or the row-edge dot4s — and must be
+        // the same bits as a plain bias + dot4 either way.
+        let val = |i: usize, f: f32| ((i as f32 * f).sin() * 3.0).exp() - 1.5;
+        for k_len in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 65, 66, 67] {
+            for (out_c, pb) in [(1usize, 1usize), (4, 2), (5, 3), (7, 4), (8, 9), (11, 5)] {
+                let kernel: Vec<f32> = (0..out_c * k_len).map(|i| val(i, 0.37)).collect();
+                let col: Vec<f32> = (0..pb * k_len).map(|i| val(i, 0.11)).collect();
+                let bias: Vec<f32> = (0..out_c).map(|i| val(i, 1.7)).collect();
+                let mut tile = vec![f32::NAN; out_c * pb];
+                for (u, dst) in tile.chunks_mut(MR * pb).enumerate() {
+                    gemm_row_block(&kernel, Some(&bias), &col, k_len, u * MR, dst);
+                }
+                for oc in 0..out_c {
+                    for p in 0..pb {
+                        let want = bias[oc]
+                            + dot4(&kernel[oc * k_len..][..k_len], &col[p * k_len..][..k_len]);
+                        assert_eq!(
+                            tile[oc * pb + p].to_bits(),
+                            want.to_bits(),
+                            "k {k_len}, out_c {out_c}, pb {pb}, at ({oc}, {p})"
+                        );
+                    }
+                }
+            }
+            // The bare tile, without bias.
+            let a: Vec<f32> = (0..MR * k_len).map(|i| val(i, 0.29)).collect();
+            let b: Vec<f32> = (0..NR * k_len).map(|i| val(i, 0.53)).collect();
+            let t = dot4_tile(&a, &b, k_len);
+            for (r, row) in t.iter().enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    let want = dot4(&a[r * k_len..][..k_len], &b[c * k_len..][..k_len]);
+                    assert_eq!(v.to_bits(), want.to_bits(), "k {k_len} at ({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_im2col_matches_per_pixel_gather() {
+        // Kernel widths on both the fixed-size and the generic path,
+        // strides above the kernel and padding wide enough that whole
+        // windows fall outside the input.
+        for (kh, kw, sh, sw, ph, pw) in [
+            (1, 5, 1, 2, 0, 2),
+            (3, 3, 2, 2, 1, 1),
+            (2, 2, 4, 4, 3, 3),
+            (4, 4, 3, 1, 3, 3),
+            (1, 7, 1, 3, 0, 8),
+            (5, 1, 2, 1, 2, 0),
+        ] {
+            let (in_c, h, w) = (3usize, 5usize, 6usize);
+            let oh = (h + 2 * ph - kh) / sh + 1;
+            let ow = (w + 2 * pw - kw) / sw + 1;
+            let g = ConvGeom {
+                in_c,
+                h,
+                w,
+                out_c: 1,
+                kh,
+                kw,
+                sh,
+                sw,
+                ph,
+                pw,
+                ow,
+                opix: oh * ow,
+            };
+            let k_len = g.k_len();
+            let src: Vec<f32> = (0..2 * in_c * h * w).map(|i| i as f32 + 1.0).collect();
+            for bi in 0..2 {
+                for (p0, pb) in [(0, g.opix), (1, g.opix - 1), (g.opix / 2, 1)] {
+                    let mut got = vec![f32::NAN; pb * k_len];
+                    fill_block(&src, g, bi, p0, &mut got, 0.0);
+                    for (j, patch) in got.chunks_exact(k_len).enumerate() {
+                        let (oy, ox) = ((p0 + j) / ow, (p0 + j) % ow);
+                        let mut i = 0;
+                        for ic in 0..in_c {
+                            for ky in 0..kh {
+                                for kx in 0..kw {
+                                    let iy = (oy * sh + ky) as isize - ph as isize;
+                                    let ix = (ox * sw + kx) as isize - pw as isize;
+                                    let inside = (0..h as isize).contains(&iy)
+                                        && (0..w as isize).contains(&ix);
+                                    let want = if inside {
+                                        src[((bi * in_c + ic) * h + iy as usize) * w + ix as usize]
+                                    } else {
+                                        0.0
+                                    };
+                                    assert_eq!(patch[i].to_bits(), want.to_bits());
+                                    i += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

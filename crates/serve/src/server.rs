@@ -1268,4 +1268,62 @@ mod tests {
         assert_eq!(m.rejected, 1);
         assert_eq!(m.shed_by_priority, [0, 1, 0]);
     }
+
+    /// A queue-full burst while degraded: depth-based degradation flips
+    /// health, normal-class admission tightens to the shed bound, and with
+    /// nothing lower-priority queued to displace the burst is shed.
+    #[test]
+    fn degraded_queue_depth_sheds_bursts() {
+        let config = ServeConfig::builder()
+            .queue_capacity(8)
+            .resilience(ResilienceConfig {
+                degraded_queue_fraction: 0.5,
+                shed_to: 0.5,
+                ..ResilienceConfig::default()
+            })
+            .golden(GoldenPolicy::default())
+            .build()
+            .unwrap();
+        let server = Server::start(&demo_graph(), config).unwrap();
+        assert_eq!(server.health(), Health::Serving);
+        // A degraded pool dispatches at once, so the queue would drain as
+        // soon as the fourth request degrades it; park the worker on a
+        // High-class plug so the queue holds.
+        let pool = Arc::clone(&server.live_pools()[0]);
+        let (plug, gate) = pool.park_worker(demo_input(0));
+        let tickets: Vec<_> = (0..4)
+            .map(|i| {
+                server
+                    .submit_request(SubmitRequest::new(vec![demo_input(i)]))
+                    .unwrap()
+            })
+            .collect();
+        // Depth 4 of 8 crossed the 0.5 degradation fraction…
+        assert_eq!(server.health(), Health::Degraded);
+        // …so normal-class admission tightens to ceil(0.5 * 8) = 4 slots,
+        // and with only normal work queued there is no lower class to
+        // displace: the burst is shed.
+        let err = server
+            .submit_request(SubmitRequest::new(vec![demo_input(99)]))
+            .unwrap_err();
+        assert_eq!(err, ServeError::ShedLowPriority);
+        drop(gate);
+        drop(pool);
+        let m = {
+            let handle = std::thread::spawn(move || server.shutdown());
+            assert!(plug.wait().is_ok());
+            for t in tickets {
+                assert!(t.wait().is_ok());
+            }
+            handle.join().unwrap()
+        };
+        assert!(m.accounted_for());
+        // The four queued requests plus the plug.
+        assert_eq!((m.served, m.rejected), (4 + 1, 1));
+        assert_eq!(
+            m.shed_by_priority,
+            [0, 1, 0],
+            "the shed burst was normal-class"
+        );
+    }
 }

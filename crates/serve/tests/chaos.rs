@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
 use vedliot_serve::{
-    BatchPolicy, FaultPlan, GoldenPolicy, Health, ResilienceConfig, ServeConfig, ServeError,
-    Server, SubmitRequest,
+    BatchPolicy, FaultPlan, GoldenPolicy, ResilienceConfig, ServeConfig, ServeError, Server,
+    SubmitRequest,
 };
 
 fn demo_graph() -> Graph {
@@ -217,58 +217,6 @@ fn golden_check_detect_only_serves_corrupted_bytes() {
         assert_eq!(served, solo, "no divergence, no difference");
     }
     assert!(m.accounted_for());
-}
-
-/// A queue-full burst while degraded: depth-based degradation flips
-/// health, normal-class admission tightens to the shed bound, and with
-/// nothing lower-priority queued to displace the burst is shed.
-#[test]
-fn degraded_queue_depth_sheds_bursts() {
-    let config = ServeConfig::builder()
-        .queue_capacity(8)
-        .batch(BatchPolicy {
-            max_batch: 64,
-            max_linger: Duration::from_secs(30),
-        })
-        .resilience(ResilienceConfig {
-            degraded_queue_fraction: 0.5,
-            shed_to: 0.5,
-            ..ResilienceConfig::default()
-        })
-        .build()
-        .unwrap();
-    let server = Server::start(&demo_graph(), config).unwrap();
-    assert_eq!(server.health(), Health::Serving);
-    let tickets: Vec<_> = (0..4)
-        .map(|i| {
-            server
-                .submit_request(SubmitRequest::new(vec![demo_input(i)]))
-                .unwrap()
-        })
-        .collect();
-    // Depth 4 of 8 crossed the 0.5 degradation fraction…
-    assert_eq!(server.health(), Health::Degraded);
-    // …so normal-class admission tightens to ceil(0.5 * 8) = 4 slots,
-    // and with only normal work queued there is no lower class to
-    // displace: the burst is shed.
-    let err = server
-        .submit_request(SubmitRequest::new(vec![demo_input(99)]))
-        .unwrap_err();
-    assert_eq!(err, ServeError::ShedLowPriority);
-    let m = {
-        let handle = std::thread::spawn(move || server.shutdown());
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-        handle.join().unwrap()
-    };
-    assert!(m.accounted_for());
-    assert_eq!((m.served, m.rejected), (4, 1));
-    assert_eq!(
-        m.shed_by_priority,
-        [0, 1, 0],
-        "the shed burst was normal-class"
-    );
 }
 
 proptest! {
